@@ -137,7 +137,8 @@ fn profile_problem(p: &sympiler_bench::workloads::LuBenchProblem, trace: &mut Tr
     let o = SympilerOptions::default();
     let before_d = profiler.counter_value("flops.dense");
     let before_s = profiler.counter_value("flops.scalar");
-    SupernodalLuPlan::from_plan_relaxed(plan.clone(), o.max_panel, 1, o.relax_fill, o.relax_cols)
+    let panels = plan.panels(o.max_panel, o.relax_fill, o.relax_cols);
+    SupernodalLuPlan::from_panels(plan.clone(), panels, 1)
         .factor(&p.a)
         .expect("profiled supernodal factor");
     let sup_dense = profiler.counter_value("flops.dense") - before_d;
@@ -408,13 +409,10 @@ fn main() {
                 // not expected, but the acceptance tolerance is. Built
                 // with the default relaxed-amalgamation budget so the
                 // reported panel widths reflect what `Auto` would run.
-                let sup = SupernodalLuPlan::from_plan_relaxed(
-                    lu.plan().clone(),
-                    opts.max_panel,
-                    1,
-                    opts.relax_fill,
-                    opts.relax_cols,
-                );
+                let panels = lu
+                    .plan()
+                    .panels(opts.max_panel, opts.relax_fill, opts.relax_cols);
+                let sup = SupernodalLuPlan::from_panels(lu.plan().clone(), panels, 1);
                 let f_sup = sup.factor(&p.a).expect("supernodal factors");
                 assert!(
                     f_sup.l().same_pattern(&base.l) && f_sup.u().same_pattern(&base.u),
@@ -573,7 +571,7 @@ fn main() {
                     format!("{:.3?}", t_par2),
                     format!("{:.3?}", t_par4),
                     format!("{scaling:.2}x"),
-                    format!("{:.1}", par4.avg_parallelism()),
+                    format!("{:.1}", par4.leveled().avg_parallelism()),
                     format!("{:.3}", gflops(flops, t_plan)),
                     format!("{:.1e}", health.growth),
                     format!("{:.1e}", health.min_pivot),

@@ -6,8 +6,11 @@
 use crate::emit::emit_trisolve_c;
 use crate::plan::chol::{CholFactor, CholPlan, CholPlanError};
 use crate::plan::lu::{BatchError, LuFactor, LuPlan, LuPlanError, LuWorkspace};
+use crate::plan::lu_parallel::ParallelLuPlan;
+use crate::plan::lu_supernodal::SupernodalLuPlan;
 use crate::plan::tri::{TriScratch, TriSolvePlan, TriVariant};
 use crate::report::{timed, SymbolicReport};
+use sympiler_graph::lu_supernode::LuPanels;
 use sympiler_graph::supernode::supernodes_trisolve;
 use sympiler_sparse::{CscMatrix, SparseVec};
 
@@ -82,11 +85,10 @@ pub struct SympilerOptions {
     /// Peel reach-set iterations whose column has more than this many
     /// off-diagonal nonzeros (Figure 1e uses 2).
     pub peel_col_count: usize,
-    /// Worker threads for the parallel numeric executors (currently
-    /// the LU plan's level-scheduled factorization). `1` (the default)
-    /// compiles the serial plan; higher values level the column
-    /// elimination DAG and bake cost-balanced per-thread chunks.
-    /// Ignored when the `parallel` feature is disabled.
+    /// Worker threads for the leveled LU numeric executors. `1` (the
+    /// default) compiles the serial plan; higher values level the
+    /// column (or, on the supernodal tier, panel) elimination DAG and
+    /// bake cost-balanced per-thread chunks.
     pub n_threads: usize,
     /// Fill-reducing ordering for the LU pipeline, computed once at
     /// inspection time and baked into the plan (applied symmetrically,
@@ -439,11 +441,10 @@ enum LuExec {
     /// Scalar columns, in order.
     Serial(LuPlan),
     /// Scalar columns leveled over the column elimination DAG.
-    #[cfg(feature = "parallel")]
-    Parallel(crate::plan::lu_parallel::ParallelLuPlan),
+    Parallel(ParallelLuPlan),
     /// Column panels routed through dense kernels, leveled over the
     /// panel DAG (serial when compiled with `n_threads == 1`).
-    Supernodal(Box<crate::plan::lu_supernodal::SupernodalLuPlan>),
+    Supernodal(Box<SupernodalLuPlan>),
 }
 
 impl SympilerLu {
@@ -457,10 +458,10 @@ impl SympilerLu {
     /// inspection time and baked into the plan
     /// ([`LuPlan::build_pivoted`]); `factor` still takes
     /// the original matrix, and [`LuFactor::solve`] speaks original
-    /// coordinates. With `n_threads > 1` (and the `parallel` feature
-    /// on), the numeric phase is additionally leveled over the column
-    /// elimination DAG and executed by that many workers — results
-    /// stay bitwise identical to the serial plan.
+    /// coordinates. With `n_threads > 1`, the numeric phase is
+    /// additionally leveled over the column elimination DAG and
+    /// executed by that many workers — results stay bitwise identical
+    /// to the serial plan.
     pub fn compile(a: &CscMatrix, opts: &SympilerOptions) -> Result<Self, LuPlanError> {
         let profiler = std::sync::Arc::new(if opts.profile {
             sympiler_obs::Profiler::enabled()
@@ -484,60 +485,32 @@ impl SympilerLu {
         // Supernodal tier: under `Auto`, engage only when blocking
         // pays (mean panel width ≥ 2 — the VS-Block threshold idea
         // applied to LU). The threshold needs only the O(nnz) panel
-        // detection — run with the same relaxation budget the
-        // supernodal plan would use, so amalgamated widths count — and
-        // the full leveled panel schedule is built just for patterns
-        // that actually block.
-        let engage = match opts.block_lu {
-            BlockLu::Off => false,
-            BlockLu::On => true,
-            BlockLu::Auto => {
-                let panels = sympiler_graph::lu_supernode::supernodes_lu_relaxed_from_parts(
-                    plan.n(),
-                    &plan.l_col_ptr,
-                    &plan.l_row_idx,
-                    opts.max_panel,
-                    opts.relax_fill,
-                    opts.relax_cols,
-                );
-                let ns = panels.part.n_supernodes();
-                ns > 0 && plan.n() as f64 / ns as f64 >= 2.0
-            }
+        // detection, under the same relaxation budget so amalgamated
+        // widths count; the panels found are the ones compiled, and
+        // the leveled panel schedule is built just for patterns that
+        // actually block.
+        let detect = || plan.panels(opts.max_panel, opts.relax_fill, opts.relax_cols);
+        let blocks = |p: &LuPanels| {
+            let ns = p.part.n_supernodes();
+            ns > 0 && plan.n() as f64 / ns as f64 >= 2.0
         };
-        if engage {
-            return Ok(Self {
-                exec: LuExec::Supernodal(Box::new(
-                    crate::plan::lu_supernodal::SupernodalLuPlan::from_plan_relaxed(
-                        plan,
-                        opts.max_panel,
-                        opts.n_threads.max(1),
-                        opts.relax_fill,
-                        opts.relax_cols,
-                    ),
-                )),
-            });
-        }
-        Self::compile_scalar(plan, opts)
-    }
-
-    /// Wrap an already-compiled plan in the scalar executor the
-    /// options select (serial, or column-parallel when `n_threads > 1`
-    /// and the `parallel` feature is on).
-    fn compile_scalar(plan: LuPlan, opts: &SympilerOptions) -> Result<Self, LuPlanError> {
-        #[cfg(feature = "parallel")]
-        if opts.n_threads > 1 {
-            return Ok(Self {
-                exec: LuExec::Parallel(crate::plan::lu_parallel::ParallelLuPlan::from_plan(
-                    plan,
-                    opts.n_threads,
-                )),
-            });
-        }
-        #[cfg(not(feature = "parallel"))]
-        let _ = opts;
-        Ok(Self {
-            exec: LuExec::Serial(plan),
-        })
+        let panels = match opts.block_lu {
+            BlockLu::Off => None,
+            BlockLu::On => Some(detect()),
+            BlockLu::Auto => Some(detect()).filter(blocks),
+        };
+        let exec = match panels {
+            Some(panels) => LuExec::Supernodal(Box::new(SupernodalLuPlan::from_panels(
+                plan,
+                panels,
+                opts.n_threads.max(1),
+            ))),
+            None if opts.n_threads > 1 => {
+                LuExec::Parallel(ParallelLuPlan::from_plan(plan, opts.n_threads))
+            }
+            None => LuExec::Serial(plan),
+        };
+        Ok(Self { exec })
     }
 
     /// Numeric factorization (no symbolic work): `A = L U`.
@@ -551,7 +524,6 @@ impl SympilerLu {
     pub fn factor(&self, a: &CscMatrix) -> Result<LuFactor, LuPlanError> {
         match &self.exec {
             LuExec::Serial(plan) => plan.factor(a),
-            #[cfg(feature = "parallel")]
             LuExec::Parallel(par) => par.factor(a),
             LuExec::Supernodal(sup) => sup.factor(a),
         }
@@ -570,7 +542,6 @@ impl SympilerLu {
     ) -> Result<LuFactor, LuPlanError> {
         match &self.exec {
             LuExec::Serial(plan) => plan.factor_with(a, ws),
-            #[cfg(feature = "parallel")]
             LuExec::Parallel(par) => par.factor(a),
             LuExec::Supernodal(sup) => sup.factor(a),
         }
@@ -588,7 +559,6 @@ impl SympilerLu {
     pub fn factor_batch(&self, mats: &[&CscMatrix]) -> Result<Vec<LuFactor>, BatchError> {
         match &self.exec {
             LuExec::Serial(plan) => plan.factor_batch(mats),
-            #[cfg(feature = "parallel")]
             LuExec::Parallel(par) => mats
                 .iter()
                 .enumerate()
@@ -607,7 +577,6 @@ impl SympilerLu {
     pub fn plan(&self) -> &LuPlan {
         match &self.exec {
             LuExec::Serial(plan) => plan,
-            #[cfg(feature = "parallel")]
             LuExec::Parallel(par) => par.serial(),
             LuExec::Supernodal(sup) => sup.serial(),
         }
@@ -617,9 +586,8 @@ impl SympilerLu {
     pub fn n_threads(&self) -> usize {
         match &self.exec {
             LuExec::Serial(_) => 1,
-            #[cfg(feature = "parallel")]
-            LuExec::Parallel(par) => par.n_threads(),
-            LuExec::Supernodal(sup) => sup.n_threads(),
+            LuExec::Parallel(par) => par.leveled().n_threads(),
+            LuExec::Supernodal(sup) => sup.leveled().n_threads(),
         }
     }
 
@@ -630,7 +598,7 @@ impl SympilerLu {
 
     /// The compiled supernodal plan, when the supernodal engine is the
     /// selected executor (panel statistics, panel-DAG schedule).
-    pub fn supernodal(&self) -> Option<&crate::plan::lu_supernodal::SupernodalLuPlan> {
+    pub fn supernodal(&self) -> Option<&SupernodalLuPlan> {
         match &self.exec {
             LuExec::Supernodal(sup) => Some(sup),
             _ => None,
@@ -1038,7 +1006,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "parallel")]
     fn lu_ordering_combines_with_parallel_executor_bitwise() {
         let a = gen::circuit_unsym(90, 4, 2, 17);
         for ordering in [Ordering::Rcm, Ordering::Colamd] {
@@ -1080,7 +1047,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "parallel")]
     fn lu_n_threads_knob_selects_parallel_executor() {
         let a = gen::circuit_unsym(60, 4, 2, 8);
         let serial = SympilerLu::compile(&a, &SympilerOptions::default()).unwrap();

@@ -24,10 +24,10 @@
 //!    into flat, pattern-specialized instruction streams executed by
 //!    static Rust loops. This is the benchmarked "Sympiler (numeric)"
 //!    code path (see DESIGN.md §2 for why this substitutes for running
-//!    GCC on the emitted C). With the `parallel` feature, two plans
-//!    additionally execute level-scheduled across threads:
-//!    `plan::tri_parallel` (wavefronts of `DG_L`) and
-//!    `plan::lu_parallel` (the column elimination DAG).
+//!    GCC on the emitted C). Plans also execute level-scheduled across
+//!    threads: `plan::tri_parallel` (wavefronts of `DG_L`), and the
+//!    column and panel elimination DAGs of LU through the one executor
+//!    of `plan::leveled`.
 //! 6. [`compile`] — the user-facing driver: [`compile::SympilerTriSolve`]
 //!    and [`compile::SympilerCholesky`].
 //! 7. [`serve`] — the serving layer over the compiled pipeline: a

@@ -1890,6 +1890,31 @@ impl LuPlan {
             .collect()
     }
 
+    /// Column panels of the predicted `L` for the supernodal tier:
+    /// adjacent columns whose patterns nest, `max_panel` capping the
+    /// width (0 = unlimited), then CHOLMOD/SuperLU-style **relaxed
+    /// amalgamation** of nearly nesting neighbours while the merged
+    /// width stays within `relax_cols` and the explicit zeros the
+    /// merged trapezoid carries stay within the `relax_fill` budget
+    /// ([`sympiler_graph::lu_supernode::supernodes_lu_relaxed_from_parts`]).
+    /// `relax_fill <= 0` or `relax_cols < 2` yields exactly the strict
+    /// partition.
+    pub fn panels(
+        &self,
+        max_panel: usize,
+        relax_fill: f64,
+        relax_cols: usize,
+    ) -> sympiler_graph::lu_supernode::LuPanels {
+        sympiler_graph::lu_supernode::supernodes_lu_relaxed_from_parts(
+            self.n,
+            &self.l_col_ptr,
+            &self.l_row_idx,
+            max_panel,
+            relax_fill,
+            relax_cols,
+        )
+    }
+
     /// Emit the matrix-specialized C factorization kernel (the LU
     /// analogue of Figure 1e, via the `emit/c.rs` path). Like
     /// [`Self::factor`], the emitted kernel takes the **original**

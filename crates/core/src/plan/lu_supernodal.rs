@@ -1,7 +1,7 @@
 //! Supernodal (VS-Block) LU: the third execution tier of the compiled
 //! LU pipeline, beside the serial column plan ([`super::lu::LuPlan`])
 //! and the level-scheduled column-parallel plan
-//! (`super::lu_parallel::ParallelLuPlan`).
+//! ([`super::lu_parallel::ParallelLuPlan`]).
 //!
 //! The paper's VS-Block transformation (§3.2) converts column-at-a-time
 //! sparse kernels into blocked code over supernodes so the numeric
@@ -27,10 +27,9 @@
 //!   (`LuPlan::column_numeric`), so sparsity that never blocks costs
 //!   nothing extra.
 //! * **Parallelism** — the panel DAG (panel `s` depends on every panel
-//!   that sources one of its updates) feeds the same generalized
-//!   scheduler the column-parallel plan uses
-//!   ([`sympiler_graph::levels::dag_levels_from_preds`] +
-//!   [`sympiler_graph::levels::balanced_partition`]): levels of
+//!   that sources one of its updates) is leveled into the same
+//!   [`Leveled`] schedule and run by the same executor as the
+//!   column-parallel plan, with panels as its tasks: levels of
 //!   independent panels execute across workers with one barrier per
 //!   kept level boundary, barriers elided across same-owner runs.
 //!
@@ -39,17 +38,14 @@
 //! (verified across the suite by `lu_compare` and the property tests),
 //! and the zero-pivot column reported is the same.
 
+use super::leveled::{Lane, Leveled, SharedMut};
 use super::lu::{LuFactor, LuPlan, LuPlanError, PerturbReport, PivotStatus};
 use sympiler_dense::{
     gemm_nt_sub, getrf_nopiv_perturbed, trsm_right_lower_trans_unit, trsm_right_upper,
 };
-use sympiler_graph::levels::{balanced_partition, dag_levels_from_preds};
-use sympiler_graph::lu_supernode::{supernodes_lu_relaxed_from_parts, LuPanels};
+use sympiler_graph::lu_supernode::LuPanels;
 use sympiler_graph::supernode::SupernodePartition;
 use sympiler_sparse::CscMatrix;
-
-/// Avoid clashing with `std::sync::atomic::Ordering` in this module.
-use sympiler_graph::ordering::Ordering as FillOrdering;
 
 /// A compiled LU factorization whose numeric phase executes panel by
 /// panel over the supernodes of the predicted `L`, with dense
@@ -60,10 +56,9 @@ pub struct SupernodalLuPlan {
     /// Column panels of the predicted factor (ordered coordinates):
     /// the partition plus each panel's baked **union** row list. Under
     /// strict nesting every member column's pattern equals the union;
-    /// under relaxed amalgamation
-    /// ([`Self::from_plan_relaxed`]) the union is wider and the extra
-    /// trapezoid slots hold explicit zeros, counted in
-    /// `panels.padded_zeros`.
+    /// under relaxed amalgamation ([`LuPlan::panels`]) the union is
+    /// wider and the extra trapezoid slots hold explicit zeros, counted
+    /// in `panels.padded_zeros`.
     panels: LuPanels,
     /// Trapezoid value offsets: wide panel `s` owns the column-major
     /// `m × w` block `sx[sx_ptr[s]..sx_ptr[s+1]]` of the supernodal
@@ -75,16 +70,8 @@ pub struct SupernodalLuPlan {
     /// predecessors of `s` in the panel DAG.
     upd_ptr: Vec<usize>,
     upd_panels: Vec<u32>,
-    /// Worker count baked into the level schedule.
-    n_threads: usize,
-    /// Panels flattened level by level (ascending within levels).
-    level_panels: Vec<usize>,
-    level_ptr: Vec<usize>,
-    /// Per-level worker chunks, `n_threads + 1` boundaries per level
-    /// relative to the level start (see `ParallelLuPlan`).
-    chunk_bounds: Vec<usize>,
-    /// Compile-time barrier schedule with same-owner elision.
-    barrier_after: Vec<bool>,
+    /// The panel DAG leveled across the baked worker count.
+    leveled: Leveled,
     /// Widest panel (workspace sizing).
     max_width: usize,
     /// Largest sub-diagonal row count over wide panels (workspace
@@ -100,26 +87,6 @@ pub struct SupernodalLuPlan {
     panel_flops: Vec<u64>,
 }
 
-/// Shared mutable view of the factor value arrays plus the supernodal
-/// trapezoid storage, handed to the scoped workers.
-///
-/// SAFETY ARGUMENT: identical to `ParallelLuPlan`'s — every panel's
-/// `L`/`U`/trapezoid value ranges are written by exactly one worker
-/// (the compile-time chunk owner) during the panel's level and read by
-/// other workers only in strictly later levels, with a barrier
-/// separating levels. No location is accessed concurrently with a
-/// write.
-#[cfg(feature = "parallel")]
-struct SharedPanels {
-    lx: *mut f64,
-    ux: *mut f64,
-    sx: *mut f64,
-}
-
-// SAFETY: see the struct-level safety argument.
-#[cfg(feature = "parallel")]
-unsafe impl Sync for SharedPanels {}
-
 /// Per-worker scratch: `x` is a dense `n × max_width` block accumulator
 /// (column-major, all zeros between panels), `bt` a `max_width²`
 /// gather block for source-panel solves and diagonal-block copies,
@@ -131,67 +98,36 @@ struct PanelWorkspace {
 }
 
 impl SupernodalLuPlan {
-    /// Compile a supernodal plan for the square matrix `a` under a
-    /// fill-reducing ordering. `low_level` / `peel_col_count` select
-    /// the scalar fallback's peeled tier exactly like
-    /// [`LuPlan::build_ordered`]; `max_panel` caps panel width (0 =
-    /// unlimited); `n_threads` fixes the worker count baked into the
-    /// panel-level schedule (1 = serial panel sweep).
-    pub fn build(
-        a: &CscMatrix,
-        low_level: bool,
-        peel_col_count: usize,
-        ordering: FillOrdering,
-        max_panel: usize,
-        n_threads: usize,
-    ) -> Result<Self, LuPlanError> {
-        Ok(Self::from_plan(
-            LuPlan::build_ordered(a, low_level, peel_col_count, ordering)?,
-            max_panel,
-            n_threads,
-        ))
-    }
-
     /// Detect **strictly nesting** panels on an already-compiled plan
-    /// and bake the panel layouts and the leveled panel-DAG schedule.
-    /// Pure schedule construction — no symbolic analysis re-runs.
-    /// Equivalent to [`Self::from_plan_relaxed`] with a zero fill
-    /// budget (relaxation off).
+    /// (`max_panel` caps their width, 0 = unlimited) and compile over
+    /// them: [`Self::from_panels`] with relaxation off.
     pub fn from_plan(plan: LuPlan, max_panel: usize, n_threads: usize) -> Self {
-        Self::from_plan_relaxed(plan, max_panel, n_threads, 0.0, 0)
+        let panels = plan.panels(max_panel, 0.0, 0);
+        Self::from_panels(plan, panels, n_threads)
     }
 
-    /// [`Self::from_plan`] with CHOLMOD/SuperLU-style **relaxed
-    /// amalgamation**: adjacent strict panels merge into one wider
-    /// panel when the merged width stays within `relax_cols` (min'd
-    /// with `max_panel` when that cap is nonzero) and the explicit
-    /// zeros the merged trapezoid must carry stay within `relax_fill`
-    /// × the panel's structural nonzeros. Padding lives **only** in
-    /// the dense trapezoid workspace: padded slots provably compute to
-    /// exact ±0.0 (every term feeding a structurally-zero position has
-    /// a structurally-zero factor, and IEEE propagates those zeros
-    /// exactly), the CSC factor layouts and patterns are untouched,
-    /// and write-back walks each column's own pattern. `relax_fill <=
-    /// 0` or `relax_cols < 2` disables merging and reproduces
-    /// [`Self::from_plan`]'s panels bitwise.
-    pub fn from_plan_relaxed(
-        plan: LuPlan,
-        max_panel: usize,
-        n_threads: usize,
-        relax_fill: f64,
-        relax_cols: usize,
-    ) -> Self {
-        assert!(n_threads >= 1, "need at least one thread");
+    /// Compile the supernodal plan over `panels`, the plan's column
+    /// panels as [`LuPlan::panels`] detects them (strict or relaxed):
+    /// bake the trapezoid layouts, the panel-level update DAG and its
+    /// leveled schedule across `n_threads` workers. Pure schedule
+    /// construction — no symbolic analysis re-runs. Padding from
+    /// relaxed amalgamation lives **only** in the dense trapezoid
+    /// workspace: padded slots compute to exact ±0.0, and the CSC
+    /// factor layouts and patterns are untouched.
+    ///
+    /// # Panics
+    /// If `panels` does not partition the plan's columns, or a panel's
+    /// rows do not start with its diagonal run.
+    pub fn from_panels(plan: LuPlan, panels: LuPanels, n_threads: usize) -> Self {
         let n = plan.n();
-        let panels = supernodes_lu_relaxed_from_parts(
-            n,
-            &plan.l_col_ptr,
-            &plan.l_row_idx,
-            max_panel,
-            relax_fill,
-            relax_cols,
-        );
+        // Disjoint panel ownership is what makes the parallel writes
+        // race-free, so the partition is checked, not trusted.
         let part = &panels.part;
+        assert!(
+            part.first_col.windows(2).all(|w| w[0] < w[1])
+                && *part == SupernodePartition::from_first_cols(part.first_col.clone(), n),
+            "panels must partition the plan's columns"
+        );
         let n_panels = part.n_supernodes();
 
         // Trapezoid layout: wide panels own an m × w value block, `m`
@@ -203,7 +139,16 @@ impl SupernodalLuPlan {
         let mut max_sub_rows = 0usize;
         for s in 0..n_panels {
             let w = part.width(s);
-            let m = panels.panel_rows(s).len();
+            let rows = panels.panel_rows(s);
+            assert!(
+                rows.len() >= w
+                    && rows[..w]
+                        .iter()
+                        .zip(part.cols(s))
+                        .all(|(&r, j)| r as usize == j),
+                "panel {s}: rows must start with the diagonal run"
+            );
+            let m = rows.len();
             let mut size = 0;
             if w > 1 {
                 size = m * w;
@@ -246,40 +191,20 @@ impl SupernodalLuPlan {
         );
 
         // Level the panel DAG and cost-balance each level's panels
-        // across workers — the same generalized scheduler the
-        // column-parallel plan drives, fed panels instead of columns.
-        let levels = dag_levels_from_preds(n_panels, |s| {
-            upd_panels[upd_ptr[s]..upd_ptr[s + 1]]
-                .iter()
-                .map(|&t| t as usize)
-        });
+        // across workers by the summed cost of their columns.
         let col_costs = plan.per_column_costs();
         let panel_costs: Vec<u64> = (0..n_panels)
             .map(|s| part.cols(s).map(|j| col_costs[j]).sum())
             .collect();
-        let mut level_panels = Vec::with_capacity(n_panels);
-        let mut level_ptr = Vec::with_capacity(levels.n_levels() + 1);
-        let mut chunk_bounds = Vec::with_capacity(levels.n_levels() * (n_threads + 1));
-        level_ptr.push(0);
-        let mut sole_owner: Vec<bool> = Vec::with_capacity(levels.n_levels());
-        for panels in &levels.levels {
-            let costs: Vec<u64> = panels.iter().map(|&s| panel_costs[s]).collect();
-            let mut bounds = balanced_partition(&costs, n_threads);
-            let whole = (0..n_threads).any(|t| bounds[t + 1] - bounds[t] == panels.len());
-            if whole {
-                for b in bounds.iter_mut().skip(1) {
-                    *b = panels.len();
-                }
-            }
-            sole_owner.push(whole);
-            chunk_bounds.extend(bounds);
-            level_panels.extend_from_slice(panels);
-            level_ptr.push(level_panels.len());
-        }
-        let n_levels = sole_owner.len();
-        let barrier_after: Vec<bool> = (0..n_levels)
-            .map(|lv| lv + 1 < n_levels && !(sole_owner[lv] && sole_owner[lv + 1]))
-            .collect();
+        let leveled = Leveled::new(
+            |s| {
+                upd_panels[upd_ptr[s]..upd_ptr[s + 1]]
+                    .iter()
+                    .map(|&t| t as usize)
+            },
+            &panel_costs,
+            n_threads,
+        );
 
         let col_flops = plan.per_column_flops();
         let panel_flops: Vec<u64> = (0..n_panels)
@@ -292,11 +217,7 @@ impl SupernodalLuPlan {
             sx_ptr,
             upd_ptr,
             upd_panels,
-            n_threads,
-            level_panels,
-            level_ptr,
-            chunk_bounds,
-            barrier_after,
+            leveled,
             max_width,
             max_sub_rows,
             dense_flop_share,
@@ -349,8 +270,7 @@ impl SupernodalLuPlan {
             + self.sx_ptr.len() * usz
             + self.upd_ptr.len() * usz
             + self.upd_panels.len() * 4
-            + (self.level_panels.len() + self.level_ptr.len() + self.chunk_bounds.len()) * usz
-            + self.barrier_after.len()
+            + self.leveled.bytes()
             + self.panel_flops.len() * 8
     }
 
@@ -387,28 +307,9 @@ impl SupernodalLuPlan {
         self.dense_flop_share
     }
 
-    /// Worker count baked into the panel schedule.
-    pub fn n_threads(&self) -> usize {
-        self.n_threads
-    }
-
-    /// Number of panel levels (critical-path length of the panel DAG).
-    pub fn n_levels(&self) -> usize {
-        self.level_ptr.len() - 1
-    }
-
-    /// Average available panel parallelism.
-    pub fn avg_panel_parallelism(&self) -> f64 {
-        if self.n_levels() == 0 {
-            0.0
-        } else {
-            self.level_panels.len() as f64 / self.n_levels() as f64
-        }
-    }
-
-    /// Barriers the parallel numeric phase executes after elision.
-    pub fn n_barriers(&self) -> usize {
-        self.barrier_after.iter().filter(|&&b| b).count()
+    /// The compiled panel schedule: levels, worker chunks, barriers.
+    pub fn leveled(&self) -> &Leveled {
+        &self.leveled
     }
 
     fn workspace(&self) -> PanelWorkspace {
@@ -421,21 +322,11 @@ impl SupernodalLuPlan {
         }
     }
 
-    /// The chunk of level `lv` owned by worker `t`.
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))]
-    fn chunk(&self, lv: usize, t: usize) -> &[usize] {
-        let base = self.level_ptr[lv];
-        let o = lv * (self.n_threads + 1);
-        let lo = base + self.chunk_bounds[o + t];
-        let hi = base + self.chunk_bounds[o + t + 1];
-        &self.level_panels[lo..hi]
-    }
-
     /// Execute one panel: the scalar column kernel for singletons, the
-    /// dense GETRF/TRSM/GEMM pipeline for wide panels. Returns the
-    /// smallest zero-pivot column, or `usize::MAX` when clean; values
-    /// are always fully written (IEEE semantics on zero pivots), so
-    /// parallel callers record and keep going.
+    /// dense GETRF/TRSM/GEMM pipeline for wide panels. Pivot outcomes
+    /// and the panel's flops go to `lane`; values are always fully
+    /// written (IEEE semantics on zero pivots), so parallel callers
+    /// record and keep going.
     ///
     /// # Safety
     /// `lx` / `ux` / `sx` must point to the full factor and trapezoid
@@ -453,10 +344,9 @@ impl SupernodalLuPlan {
         lx: *mut f64,
         ux: *mut f64,
         sx: *mut f64,
-        lane: usize,
         thresh: f64,
-        perturbed: &mut Vec<usize>,
-    ) -> usize {
+        lane: &mut Lane,
+    ) {
         let plan = &self.plan;
         let n = plan.n();
         let f = self.panels.part.first_col[s];
@@ -466,14 +356,9 @@ impl SupernodalLuPlan {
             // Scalar fallback: the shared per-column kernel, reading
             // and writing the CSC factor arrays directly.
             let x = &mut ws.x[..n];
-            return match plan.column_numeric(f, a, x, lx, ux, thresh) {
-                PivotStatus::Clean => usize::MAX,
-                PivotStatus::Perturbed => {
-                    perturbed.push(f);
-                    usize::MAX
-                }
-                PivotStatus::Zero => f,
-            };
+            lane.pivot(f, plan.column_numeric(f, a, x, lx, ux, thresh));
+            lane.scalar_flops += self.panel_flops[s];
+            return;
         }
 
         // Wide-panel observability: one `panel` span with achieved
@@ -483,7 +368,7 @@ impl SupernodalLuPlan {
         let prof = plan.profiler().as_ref();
         let enabled = prof.is_enabled();
         let panel_span = if enabled {
-            prof.begin(lane, "panel")
+            prof.begin(lane.id, "panel")
         } else {
             None
         };
@@ -494,17 +379,10 @@ impl SupernodalLuPlan {
         // The panel's baked union row list: under strict nesting this
         // is exactly the leading column's CSC pattern; under relaxed
         // amalgamation it is the union over member columns, and the
-        // first `w` entries are always the diagonal run `f..f+w`.
+        // first `w` entries are always the diagonal run `f..f+w`
+        // (checked at construction).
         let rows = self.panels.panel_rows(s);
         let m = rows.len();
-        debug_assert_eq!(rows[0] as usize, f, "panel rows start at the diagonal");
-        debug_assert!(
-            rows[..w]
-                .iter()
-                .enumerate()
-                .all(|(c, &r)| r as usize == f + c),
-            "diagonal run leads the union rows"
-        );
 
         // --- Scatter the panel's (ordered) input columns into the
         // dense block accumulator.
@@ -564,7 +442,7 @@ impl SupernodalLuPlan {
             if enabled {
                 let t1 = prof.now_ns();
                 prof.add_span(
-                    lane,
+                    lane.id,
                     "trsm",
                     t0,
                     t1 - t0,
@@ -589,7 +467,7 @@ impl SupernodalLuPlan {
                     let t1 = prof.now_ns();
                     let flops = 2.0 * m_sub as f64 * w as f64 * v as f64;
                     prof.add_span(
-                        lane,
+                        lane.id,
                         "gemm",
                         t0,
                         t1 - t0,
@@ -627,19 +505,20 @@ impl SupernodalLuPlan {
                 trap[c * m + i] = xc[r as usize];
             }
         }
-        let mut first_bad = usize::MAX;
         let t0 = if enabled { prof.now_ns() } else { 0 };
         // `Vec::new` never allocates until a perturbation actually
         // fires, so the clean path costs one stack slot.
         let mut block_perturbed = Vec::new();
         if let Err(c) = getrf_nopiv_perturbed(w, trap, m, thresh, &mut block_perturbed) {
-            first_bad = f + c;
+            lane.pivot(f + c, PivotStatus::Zero);
         }
-        perturbed.extend(block_perturbed.into_iter().map(|c| f + c));
+        for c in block_perturbed {
+            lane.pivot(f + c, PivotStatus::Perturbed);
+        }
         if enabled {
             let t1 = prof.now_ns();
             prof.add_span(
-                lane,
+                lane.id,
                 "getrf",
                 t0,
                 t1 - t0,
@@ -661,7 +540,7 @@ impl SupernodalLuPlan {
             if enabled {
                 let t1 = prof.now_ns();
                 prof.add_span(
-                    lane,
+                    lane.id,
                     "trsm",
                     t0,
                     t1 - t0,
@@ -705,7 +584,7 @@ impl SupernodalLuPlan {
             }
             // The structural pivot is the diagonal of the panel's U.
             if trap[c * m + c] == 0.0 {
-                first_bad = first_bad.min(j);
+                lane.pivot(j, PivotStatus::Zero);
             }
             // Clear: U-pattern rows cover everything above the
             // diagonal (diagonal last), L-pattern rows everything
@@ -719,6 +598,7 @@ impl SupernodalLuPlan {
                 xc[l_rows[p] as usize] = 0.0;
             }
         }
+        lane.dense_flops += self.panel_flops[s];
         if enabled {
             let dur = prof.now_ns().saturating_sub(panel_t0);
             let fl = self.panel_flops[s] as f64;
@@ -734,7 +614,6 @@ impl SupernodalLuPlan {
                 ],
             );
         }
-        first_bad
     }
 
     /// Supernodal numeric factorization. Matches the serial plan to
@@ -743,225 +622,38 @@ impl SupernodalLuPlan {
     /// thread count — each panel executes one fixed operation sequence
     /// whichever worker runs it.
     pub fn factor(&self, a: &CscMatrix) -> Result<LuFactor, LuPlanError> {
-        self.plan.check_pattern(a)?;
-        let mut lx = vec![0.0f64; self.plan.l_nnz()];
-        let mut ux = vec![0.0f64; self.plan.u_nnz()];
+        let plan = &self.plan;
+        plan.check_pattern(a)?;
+        let mut lx = vec![0.0f64; plan.l_nnz()];
+        let mut ux = vec![0.0f64; plan.u_nnz()];
         let mut sx = vec![0.0f64; *self.sx_ptr.last().unwrap_or(&0)];
-        let thresh = self.plan.perturb_threshold(a);
-        let mut perturbed: Vec<usize> = Vec::new();
-        let first_bad = if self.n_threads == 1 {
-            self.factor_serial(a, &mut lx, &mut ux, &mut sx, thresh, &mut perturbed)
-        } else {
-            self.factor_parallel(a, &mut lx, &mut ux, &mut sx, thresh, &mut perturbed)
-        };
-        if first_bad != usize::MAX {
-            return Err(LuPlanError::ZeroPivot { column: first_bad });
-        }
-        perturbed.sort_unstable();
-        Ok(self.plan.finish(
+        let (l, u, t) = (
+            SharedMut::new(&mut lx),
+            SharedMut::new(&mut ux),
+            SharedMut::new(&mut sx),
+        );
+        let thresh = plan.perturb_threshold(a);
+        let columns = self.leveled.run(
+            plan.profiler(),
+            "factor:supernodal",
+            || self.workspace(),
+            |s, ws, lane| {
+                // SAFETY: `l`/`u`/`t` address the full factor and
+                // trapezoid arrays, and the executor runs panel s once,
+                // after every source panel (its DAG predecessors) is
+                // final and visible; no other task writes s's ranges.
+                unsafe { self.panel_numeric(s, a, ws, l.get(), u.get(), t.get(), thresh, lane) }
+            },
+        )?;
+        Ok(plan.finish(
             a,
             lx,
             ux,
             PerturbReport {
-                columns: perturbed,
+                columns,
                 threshold: thresh,
             },
         ))
-    }
-
-    fn factor_serial(
-        &self,
-        a: &CscMatrix,
-        lx: &mut [f64],
-        ux: &mut [f64],
-        sx: &mut [f64],
-        thresh: f64,
-        perturbed: &mut Vec<usize>,
-    ) -> usize {
-        let prof = self.plan.profiler().as_ref();
-        let enabled = prof.is_enabled();
-        let span = if enabled {
-            prof.begin(0, "factor:supernodal")
-        } else {
-            None
-        };
-        let mut ws = self.workspace();
-        let mut first_bad = usize::MAX;
-        let (mut dense, mut scalar) = (0u64, 0u64);
-        for s in 0..self.n_panels() {
-            // SAFETY: in-order serial execution — every source panel is
-            // final, each panel's ranges are written exactly once.
-            let bad = unsafe {
-                self.panel_numeric(
-                    s,
-                    a,
-                    &mut ws,
-                    lx.as_mut_ptr(),
-                    ux.as_mut_ptr(),
-                    sx.as_mut_ptr(),
-                    0,
-                    thresh,
-                    perturbed,
-                )
-            };
-            first_bad = first_bad.min(bad);
-            if enabled {
-                if self.panels.part.width(s) > 1 {
-                    dense += self.panel_flops[s];
-                } else {
-                    scalar += self.panel_flops[s];
-                }
-            }
-        }
-        if enabled {
-            prof.counter("flops.dense").add(dense);
-            prof.counter("flops.scalar").add(scalar);
-            prof.end_with(span, &[("flops", (dense + scalar) as f64)]);
-        }
-        first_bad
-    }
-
-    #[cfg(feature = "parallel")]
-    fn factor_parallel(
-        &self,
-        a: &CscMatrix,
-        lx: &mut [f64],
-        ux: &mut [f64],
-        sx: &mut [f64],
-        thresh: f64,
-        perturbed: &mut Vec<usize>,
-    ) -> usize {
-        use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
-        use std::sync::Mutex;
-        let prof = self.plan.profiler().as_ref();
-        let enabled = prof.is_enabled();
-        let outer = if enabled {
-            prof.begin(0, "factor:supernodal")
-        } else {
-            None
-        };
-        let n_levels = self.n_levels();
-        let shared = SharedPanels {
-            lx: lx.as_mut_ptr(),
-            ux: ux.as_mut_ptr(),
-            sx: sx.as_mut_ptr(),
-        };
-        let barrier = std::sync::Barrier::new(self.n_threads);
-        let first_bad = AtomicUsize::new(usize::MAX);
-        // Workers buffer perturbed columns locally and merge once at
-        // the end; the caller sorts, so the report is deterministic.
-        let all_perturbed: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        let busy: Vec<AtomicU64> = (0..self.n_threads).map(|_| AtomicU64::new(0)).collect();
-        let wait: Vec<AtomicU64> = (0..self.n_threads).map(|_| AtomicU64::new(0)).collect();
-        let dense_flops = AtomicU64::new(0);
-        let scalar_flops = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            for t in 0..self.n_threads {
-                let shared = &shared;
-                let barrier = &barrier;
-                let first_bad = &first_bad;
-                let (busy, wait) = (&busy, &wait);
-                let (dense_flops, scalar_flops) = (&dense_flops, &scalar_flops);
-                let all_perturbed = &all_perturbed;
-                scope.spawn(move || {
-                    let mut ws = self.workspace();
-                    let worker_t0 = prof.now_ns();
-                    let mut my_wait = 0u64;
-                    let (mut my_dense, mut my_scalar) = (0u64, 0u64);
-                    let mut my_perturbed: Vec<usize> = Vec::new();
-                    for lv in 0..n_levels {
-                        for &s in self.chunk(lv, t) {
-                            // SAFETY: this worker is the unique owner
-                            // of panel s (compile-time chunking); every
-                            // source panel sits in an earlier level,
-                            // finalized either by this worker in
-                            // program order (elided barriers only span
-                            // same-single-owner levels) or before the
-                            // last kept barrier. See SharedPanels.
-                            let bad = unsafe {
-                                self.panel_numeric(
-                                    s,
-                                    a,
-                                    &mut ws,
-                                    shared.lx,
-                                    shared.ux,
-                                    shared.sx,
-                                    t,
-                                    thresh,
-                                    &mut my_perturbed,
-                                )
-                            };
-                            if bad != usize::MAX {
-                                first_bad.fetch_min(bad, AtomicOrdering::Relaxed);
-                            }
-                            if enabled {
-                                if self.panels.part.width(s) > 1 {
-                                    my_dense += self.panel_flops[s];
-                                } else {
-                                    my_scalar += self.panel_flops[s];
-                                }
-                            }
-                        }
-                        if self.barrier_after[lv] {
-                            if enabled {
-                                let w0 = prof.now_ns();
-                                barrier.wait();
-                                let w1 = prof.now_ns();
-                                my_wait += w1 - w0;
-                                prof.add_span(t, "barrier", w0, w1 - w0, &[("level", lv as f64)]);
-                            } else {
-                                barrier.wait();
-                            }
-                        }
-                    }
-                    if enabled {
-                        let elapsed = prof.now_ns().saturating_sub(worker_t0);
-                        busy[t].store(elapsed.saturating_sub(my_wait), AtomicOrdering::Relaxed);
-                        wait[t].store(my_wait, AtomicOrdering::Relaxed);
-                        dense_flops.fetch_add(my_dense, AtomicOrdering::Relaxed);
-                        scalar_flops.fetch_add(my_scalar, AtomicOrdering::Relaxed);
-                    }
-                    if !my_perturbed.is_empty() {
-                        all_perturbed.lock().unwrap().extend(my_perturbed);
-                    }
-                });
-            }
-        });
-        if enabled {
-            for t in 0..self.n_threads {
-                prof.counter(&format!("sup.t{t}.busy_ns"))
-                    .add(busy[t].load(AtomicOrdering::Relaxed));
-                prof.counter(&format!("sup.t{t}.wait_ns"))
-                    .add(wait[t].load(AtomicOrdering::Relaxed));
-            }
-            let dense = dense_flops.into_inner();
-            let scalar = scalar_flops.into_inner();
-            prof.counter("flops.dense").add(dense);
-            prof.counter("flops.scalar").add(scalar);
-            prof.end_with(
-                outer,
-                &[
-                    ("threads", self.n_threads as f64),
-                    ("levels", n_levels as f64),
-                    ("flops", (dense + scalar) as f64),
-                ],
-            );
-        }
-        perturbed.extend(all_perturbed.into_inner().unwrap());
-        first_bad.into_inner()
-    }
-
-    #[cfg(not(feature = "parallel"))]
-    fn factor_parallel(
-        &self,
-        a: &CscMatrix,
-        lx: &mut [f64],
-        ux: &mut [f64],
-        sx: &mut [f64],
-        thresh: f64,
-        perturbed: &mut Vec<usize>,
-    ) -> usize {
-        self.factor_serial(a, lx, ux, sx, thresh, perturbed)
     }
 
     /// Emit the matrix-specialized supernodal C factorization kernel
@@ -975,6 +667,7 @@ impl SupernodalLuPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sympiler_graph::ordering::Ordering as FillOrdering;
     use sympiler_sparse::{gen, ops};
 
     fn assert_close(a: &LuFactor, b: &LuFactor, tol: f64, what: &str) {
@@ -1019,7 +712,11 @@ mod tests {
     #[test]
     fn grid_problems_produce_wide_panels() {
         let a = gen::convection_diffusion_2d(10, 10, 1.0, 5);
-        let sup = SupernodalLuPlan::build(&a, true, 2, FillOrdering::Natural, 0, 1).unwrap();
+        let sup = SupernodalLuPlan::from_plan(
+            LuPlan::build_ordered(&a, true, 2, FillOrdering::Natural).unwrap(),
+            0,
+            1,
+        );
         assert!(sup.n_wide_panels() > 0, "grid fill must block");
         assert!(sup.mean_panel_width() > 1.0);
         assert!(sup.max_panel_width() > 1);
@@ -1044,16 +741,19 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "parallel")]
     fn parallel_panels_match_single_thread_bitwise() {
         // Panel execution is a fixed operation sequence per panel, so
         // thread count must not change a single bit.
         let a = gen::convection_diffusion_2d(9, 9, 2.0, 13);
-        let one = SupernodalLuPlan::build(&a, true, 2, FillOrdering::Natural, 8, 1).unwrap();
+        let one = SupernodalLuPlan::from_plan(
+            LuPlan::build_ordered(&a, true, 2, FillOrdering::Natural).unwrap(),
+            8,
+            1,
+        );
         let f1 = one.factor(&a).unwrap();
         for threads in [2usize, 3, 4] {
             let par = SupernodalLuPlan::from_plan(one.serial().clone(), 8, threads);
-            assert_eq!(par.n_threads(), threads);
+            assert_eq!(par.leveled().n_threads(), threads);
             let fp = par.factor(&a).unwrap();
             for (x, y) in f1
                 .l()
@@ -1070,12 +770,16 @@ mod tests {
     #[test]
     fn panel_levels_cover_all_panels_and_respect_deps() {
         let a = gen::circuit_unsym(90, 4, 2, 3);
-        let sup = SupernodalLuPlan::build(&a, true, 2, FillOrdering::Colamd, 8, 3).unwrap();
+        let sup = SupernodalLuPlan::from_plan(
+            LuPlan::build_ordered(&a, true, 2, FillOrdering::Colamd).unwrap(),
+            8,
+            3,
+        );
         let mut seen = vec![false; sup.n_panels()];
-        for lv in 0..sup.n_levels() {
+        for lv in 0..sup.leveled().n_levels() {
             let mut level: Vec<usize> = Vec::new();
-            for t in 0..sup.n_threads() {
-                level.extend_from_slice(sup.chunk(lv, t));
+            for t in 0..sup.leveled().n_threads() {
+                level.extend_from_slice(sup.leveled().chunk(lv, t));
             }
             for &s in &level {
                 assert!(!seen[s], "panel {s} scheduled twice");
@@ -1086,8 +790,8 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s), "all panels scheduled");
-        assert!(sup.avg_panel_parallelism() >= 1.0);
-        assert!(sup.n_barriers() < sup.n_levels().max(1));
+        assert!(sup.leveled().avg_parallelism() >= 1.0);
+        assert!(sup.leveled().n_barriers() < sup.leveled().n_levels().max(1));
     }
 
     #[test]
@@ -1125,7 +829,11 @@ mod tests {
         // A diagonal matrix never blocks: every panel is a singleton
         // and the engine is exactly the scalar plan.
         let a = CscMatrix::identity(9);
-        let sup = SupernodalLuPlan::build(&a, true, 2, FillOrdering::Natural, 0, 2).unwrap();
+        let sup = SupernodalLuPlan::from_plan(
+            LuPlan::build_ordered(&a, true, 2, FillOrdering::Natural).unwrap(),
+            0,
+            2,
+        );
         assert_eq!(sup.n_wide_panels(), 0);
         assert_eq!(sup.dense_flop_share(), 0.0);
         let f = sup.factor(&a).unwrap();
@@ -1135,7 +843,11 @@ mod tests {
     #[test]
     fn repeated_factorization_reuses_the_panel_schedule() {
         let a0 = gen::convection_diffusion_2d(7, 7, 1.0, 2);
-        let sup = SupernodalLuPlan::build(&a0, true, 2, FillOrdering::Natural, 8, 1).unwrap();
+        let sup = SupernodalLuPlan::from_plan(
+            LuPlan::build_ordered(&a0, true, 2, FillOrdering::Natural).unwrap(),
+            8,
+            1,
+        );
         let mut a = a0.clone();
         for round in 1..=3 {
             for v in a.values_mut() {
@@ -1148,9 +860,26 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "panels must partition the plan's columns")]
+    fn from_panels_rejects_overlapping_panels() {
+        // Panels [0, 2) and [1, 4) would both own column 1, and two
+        // workers would write it concurrently.
+        let a = gen::convection_diffusion_2d(2, 2, 1.0, 1);
+        let plan = LuPlan::build(&a, true, 2).unwrap();
+        let mut panels = plan.panels(0, 0.0, 0);
+        panels.part.first_col = vec![0, 2, 1, 4];
+        panels.part.col_to_super = vec![0, 2, 2, 2];
+        SupernodalLuPlan::from_panels(plan, panels, 2);
+    }
+
+    #[test]
     fn empty_matrix() {
         let a = CscMatrix::zeros(0, 0);
-        let sup = SupernodalLuPlan::build(&a, true, 2, FillOrdering::Natural, 0, 2).unwrap();
+        let sup = SupernodalLuPlan::from_plan(
+            LuPlan::build_ordered(&a, true, 2, FillOrdering::Natural).unwrap(),
+            0,
+            2,
+        );
         assert_eq!(sup.n_panels(), 0);
         assert_eq!(sup.mean_panel_width(), 0.0);
         let f = sup.factor(&a).unwrap();

@@ -13,19 +13,19 @@
 //! argument.
 //!
 //! The LU pipeline compiles to one of three execution tiers:
-//! [`lu::LuPlan`] (serial columns), `lu_parallel::ParallelLuPlan`
+//! [`lu::LuPlan`] (serial columns), [`lu_parallel::ParallelLuPlan`]
 //! (columns leveled over the elimination DAG across workers), and
 //! [`lu_supernodal::SupernodalLuPlan`] (VS-Block column panels routed
 //! through dense GETRF/TRSM/GEMM kernels, leveled over the panel DAG).
+//! Both leveled tiers compile their DAG into one [`leveled::Leveled`]
+//! schedule and run it on the same executor.
 
 pub mod chol;
+pub mod leveled;
 pub mod lu;
+pub mod lu_parallel;
 pub mod lu_supernodal;
 pub mod tri;
-
-#[cfg(feature = "parallel")]
-pub mod lu_parallel;
-#[cfg(feature = "parallel")]
 pub mod tri_parallel;
 
 /// Kernel tier selected at compile (inspection) time for a dense

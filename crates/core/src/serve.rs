@@ -455,9 +455,8 @@ impl PlanCache {
     /// without polling [`stats`](Self::stats).
     fn publish_residency(&self, inner: &CacheInner) {
         self.profiler
-            .set_gauge("serve.cache.entries", inner.entries as f64);
-        self.profiler
-            .set_gauge("serve.cache.bytes", inner.bytes as f64);
+            .gauge("serve.cache.entries", inner.entries as f64);
+        self.profiler.gauge("serve.cache.bytes", inner.bytes as f64);
     }
 
     /// The plan for `(a's pattern, opts)` — resident if cached,

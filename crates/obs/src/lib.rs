@@ -285,19 +285,10 @@ impl Profiler {
             .map_or(0, |(_, a)| a.load(Ordering::Relaxed))
     }
 
-    /// Record a named gauge value. Gauges append (they are not unique
-    /// by name); [`Profile::gauge`] returns the first recorded value.
+    /// Set a named gauge: replaces the previous value of the same name
+    /// (or appends on first write), so a gauge holds only its current
+    /// value however often it is set.
     pub fn gauge(&self, name: &str, value: f64) {
-        if let Some(inner) = self.inner.as_ref() {
-            inner.gauges.lock().unwrap().push((name.to_string(), value));
-        }
-    }
-
-    /// Set a *live* gauge: replaces the previous value of the same
-    /// name (or appends on first write). Used for occupancy-style
-    /// gauges (`serve.cache.entries`, `serve.cache.bytes`) where only
-    /// the current value is meaningful.
-    pub fn set_gauge(&self, name: &str, value: f64) {
         let Some(inner) = self.inner.as_ref() else {
             return;
         };
@@ -477,31 +468,19 @@ mod tests {
     }
 
     #[test]
-    fn set_gauge_replaces_while_gauge_appends() {
+    fn gauges_replace_by_name() {
         let p = Profiler::enabled();
         p.gauge("health.growth", 1.0);
+        p.gauge("serve.cache.entries", 5.0);
         p.gauge("health.growth", 2.0);
-        p.set_gauge("serve.cache.entries", 5.0);
-        p.set_gauge("serve.cache.entries", 3.0);
+        p.gauge("serve.cache.entries", 3.0);
         let s = p.snapshot("t");
-        // Append-only gauges keep both records, first-wins on read.
-        assert_eq!(
-            s.gauges
-                .iter()
-                .filter(|(n, _)| n == "health.growth")
-                .count(),
-            2
-        );
-        assert_eq!(s.gauge("health.growth"), Some(1.0));
-        // Live gauges hold only the current value.
-        assert_eq!(
-            s.gauges
-                .iter()
-                .filter(|(n, _)| n == "serve.cache.entries")
-                .count(),
-            1
-        );
-        assert_eq!(s.gauge("serve.cache.entries"), Some(3.0));
+        // Every gauge holds one record: its latest value.
+        for (name, want) in [("health.growth", 2.0), ("serve.cache.entries", 3.0)] {
+            assert_eq!(s.gauges.iter().filter(|(n, _)| n == name).count(), 1);
+            assert_eq!(s.gauge(name), Some(want));
+        }
+        assert_eq!(s.gauges.len(), 2);
     }
 
     #[test]

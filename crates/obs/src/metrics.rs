@@ -178,8 +178,8 @@ pub struct HistogramSummary {
 ///
 /// Registration (`histogram`, `counter`) takes a short lock; the
 /// returned handles record lock-free, so hot paths hoist the handle
-/// once. Gauges use *set* semantics (last write per name wins), unlike
-/// the profiler's append-only gauges.
+/// once. Gauges use *set* semantics (last write per name wins), like
+/// the profiler's.
 #[derive(Default)]
 pub struct MetricsRegistry {
     histograms: Mutex<Vec<(String, Arc<Histogram>)>>,

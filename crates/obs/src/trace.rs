@@ -60,7 +60,7 @@ impl Profile {
             .map(|&(_, v)| v)
     }
 
-    /// First recorded value of a gauge.
+    /// Value of a gauge.
     pub fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     }

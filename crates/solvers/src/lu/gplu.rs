@@ -14,6 +14,7 @@
 //! triangular with diagonal-last columns, satisfying
 //! `P A = L U` with `P` the returned row permutation.
 
+use sympiler_sparse::ops::max_nan;
 use sympiler_sparse::CscMatrix;
 
 /// Pivoting strategy.
@@ -603,10 +604,10 @@ pub fn lu_backward_error(a: &CscMatrix, f: &GpLuFactors) -> f64 {
         }
         let mut err = 0.0f64;
         for &i in &touched {
-            err = err.max(acc[i].abs());
+            err = max_nan(err, acc[i].abs());
             acc[i] = 0.0;
         }
-        eta = eta.max(err / denom.max(f64::MIN_POSITIVE));
+        eta = max_nan(eta, err / max_nan(denom, f64::MIN_POSITIVE));
     }
     eta
 }
@@ -622,7 +623,7 @@ pub fn lu_reconstruction_error(a: &CscMatrix, f: &GpLuFactors) -> f64 {
     for (new, &old) in f.row_perm.iter().enumerate() {
         pinv[old] = new;
     }
-    let a_norm = sympiler_sparse::ops::norm_1(a).max(1.0);
+    let a_norm = max_nan(sympiler_sparse::ops::norm_1(a), 1.0);
     let mut acc = vec![0.0f64; n];
     let mut touched: Vec<usize> = Vec::new();
     let mut max_err = 0.0f64;
@@ -646,7 +647,7 @@ pub fn lu_reconstruction_error(a: &CscMatrix, f: &GpLuFactors) -> f64 {
             acc[r] -= v;
         }
         for &i in &touched {
-            max_err = max_err.max(acc[i].abs());
+            max_err = max_nan(max_err, acc[i].abs());
             acc[i] = 0.0;
         }
     }
@@ -740,6 +741,25 @@ mod tests {
         let b = vec![1.0, 2.0, 3.0];
         let x = f.solve(&b);
         assert!(ops::rel_residual(&a, &x, &b) < 1e-10);
+    }
+
+    /// A factor with one NaN entry (the first column's diagonal of `L`).
+    fn factor_with_nan(a: &CscMatrix) -> GpLuFactors {
+        let mut f = GpLu::factor(a, Pivoting::None).unwrap();
+        f.l.values_mut()[0] = f64::NAN;
+        f
+    }
+
+    #[test]
+    fn lu_backward_error_propagates_nan() {
+        let a = gen::random_unsym(20, 3, 5);
+        assert!(lu_backward_error(&a, &factor_with_nan(&a)).is_nan());
+    }
+
+    #[test]
+    fn lu_reconstruction_error_propagates_nan() {
+        let a = gen::random_unsym(20, 3, 5);
+        assert!(lu_reconstruction_error(&a, &factor_with_nan(&a)).is_nan());
     }
 
     #[test]

@@ -12,7 +12,7 @@ pub fn reconstruction_error(a_lower: &CscMatrix, l: &CscMatrix) -> f64 {
     // column-by-column sparse accumulation.
     let mut acc = vec![0.0f64; n];
     let mut max_err = 0.0f64;
-    let a_norm = ops::norm_1(a_lower).max(1.0);
+    let a_norm = ops::max_nan(ops::norm_1(a_lower), 1.0);
     for j in 0..n {
         // acc = sum_k L[j,k] * L[:,k] for k <= j — computed by scanning
         // all columns k with L[j,k] != 0. For testing simplicity use the
@@ -32,13 +32,13 @@ pub fn reconstruction_error(a_lower: &CscMatrix, l: &CscMatrix) -> f64 {
         // Compare against A's column j (lower part).
         for (i, v) in a_lower.col_iter(j) {
             let err = (acc[i] - v).abs();
-            max_err = max_err.max(err);
+            max_err = ops::max_nan(max_err, err);
             acc[i] = 0.0;
         }
         // Fill-in positions must reconstruct to ~zero.
         for (i, _) in l.col_iter(j) {
             if acc[i] != 0.0 {
-                max_err = max_err.max(acc[i].abs());
+                max_err = ops::max_nan(max_err, acc[i].abs());
                 acc[i] = 0.0;
             }
         }
@@ -72,6 +72,15 @@ mod tests {
         let nnz = l.nnz();
         l.values_mut()[nnz / 2] += 0.5;
         assert!(reconstruction_error(&a, &l) > 1e-6);
+    }
+
+    #[test]
+    fn nan_factor_entry_is_not_scored_as_zero_error() {
+        let a = gen::random_spd(25, 3, 2);
+        let mut l = SimplicialCholesky::analyze(&a).unwrap().factor(&a).unwrap();
+        let nnz = l.nnz();
+        l.values_mut()[nnz / 2] = f64::NAN;
+        assert!(reconstruction_error(&a, &l).is_nan());
     }
 
     #[test]

@@ -431,10 +431,10 @@ fn scaled_residual_from(ax: &[f64], a: &CscMatrix, x: &[f64], b: &[f64]) -> f64 
         .iter()
         .zip(b.iter())
         .map(|(p, q)| (p - q).abs())
-        .fold(0.0f64, f64::max);
+        .fold(0.0f64, max_nan);
     let a1 = norm_1(a);
-    let xi = x.iter().map(|v| v.abs()).fold(0.0f64, f64::max);
-    let bi = b.iter().map(|v| v.abs()).fold(0.0f64, f64::max);
+    let xi = x.iter().map(|v| v.abs()).fold(0.0f64, max_nan);
+    let bi = b.iter().map(|v| v.abs()).fold(0.0f64, max_nan);
     let den = a1 * xi + bi;
     if den == 0.0 {
         num
@@ -450,7 +450,8 @@ fn scaled_residual_from(ax: &[f64], a: &CscMatrix, x: &[f64], b: &[f64]) -> f64 
 /// iterative refinement: a berr near machine epsilon certifies the
 /// solve regardless of how ill-conditioned the factorization path
 /// was. Rows where both numerator and denominator vanish contribute
-/// zero; a nonzero residual over a zero denominator yields infinity.
+/// zero; a nonzero residual over a zero denominator yields infinity;
+/// a NaN anywhere yields NaN.
 pub fn componentwise_berr(a: &CscMatrix, x: &[f64], b: &[f64]) -> f64 {
     assert_eq!(x.len(), a.n_cols(), "x length mismatch");
     assert_eq!(b.len(), a.n_rows(), "b length mismatch");
@@ -472,8 +473,11 @@ pub fn componentwise_berr(a: &CscMatrix, x: &[f64], b: &[f64]) -> f64 {
     for i in 0..n {
         let num = (b[i] - ax[i]).abs();
         let den = denom[i] + b[i].abs();
+        if num.is_nan() || den.is_nan() {
+            return f64::NAN;
+        }
         if den > 0.0 {
-            berr = berr.max(num / den);
+            berr = max_nan(berr, num / den);
         } else if num > 0.0 {
             return f64::INFINITY;
         }
@@ -485,7 +489,18 @@ pub fn componentwise_berr(a: &CscMatrix, x: &[f64], b: &[f64]) -> f64 {
 pub fn norm_1(a: &CscMatrix) -> f64 {
     (0..a.n_cols())
         .map(|j| a.col_values(j).iter().map(|v| v.abs()).sum::<f64>())
-        .fold(0.0f64, f64::max)
+        .fold(0.0f64, max_nan)
+}
+
+/// `a.max(b)`, except that a NaN in either argument yields NaN — the
+/// reduction every verification helper uses, so that a NaN entry
+/// cannot score as zero error (`f64::max` drops NaN operands).
+pub fn max_nan(a: f64, b: f64) -> f64 {
+    if a.is_nan() || b.is_nan() {
+        f64::NAN
+    } else {
+        a.max(b)
+    }
 }
 
 /// Frobenius norm.
@@ -734,6 +749,37 @@ mod tests {
         let mut b = [0.0; 3];
         spmv(&a, &x, &mut b);
         assert!(rel_residual(&a, &x, &b) < 1e-15);
+    }
+
+    #[test]
+    fn rel_residual_propagates_nan() {
+        let a = lower3();
+        let b = [1.0; 3];
+        assert!(rel_residual(&a, &[f64::NAN; 3], &b).is_nan());
+        assert!(rel_residual(&a, &[1.0, f64::NAN, 1.0], &b).is_nan());
+    }
+
+    #[test]
+    fn rel_residual_sym_lower_propagates_nan() {
+        let a = lower3();
+        let b = [1.0; 3];
+        assert!(rel_residual_sym_lower(&a, &[f64::NAN; 3], &b).is_nan());
+        assert!(rel_residual_sym_lower(&a, &[1.0, 1.0, f64::NAN], &b).is_nan());
+    }
+
+    #[test]
+    fn componentwise_berr_propagates_nan() {
+        let a = lower3();
+        let b = [1.0; 3];
+        assert!(componentwise_berr(&a, &[f64::NAN; 3], &b).is_nan());
+        assert!(componentwise_berr(&a, &[1.0, f64::NAN, 1.0], &b).is_nan());
+    }
+
+    #[test]
+    fn norm_1_propagates_nan() {
+        let mut a = lower3();
+        a.values_mut()[4] = f64::NAN; // column 2, not the largest sum
+        assert!(norm_1(&a).is_nan());
     }
 
     #[test]

@@ -98,7 +98,6 @@ pub mod prelude {
     pub use sympiler_core::plan::lu::{
         BatchError, LuFactor, LuPlan, LuWorkspace, PerturbReport, RefineReport,
     };
-    #[cfg(feature = "parallel")]
     pub use sympiler_core::plan::lu_parallel::ParallelLuPlan;
     pub use sympiler_core::plan::lu_supernodal::SupernodalLuPlan;
     pub use sympiler_core::plan::tri::TriSolvePlan;

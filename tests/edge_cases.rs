@@ -228,7 +228,6 @@ fn lu_pattern_mismatch_and_zero_pivot_are_reported() {
     assert!(lu.factor(&bad).is_err(), "zero pivot must fail");
 }
 
-#[cfg(feature = "parallel")]
 #[test]
 fn parallel_solver_handles_degenerate_inputs() {
     use sympiler::core::plan::tri_parallel::ParallelTriSolve;

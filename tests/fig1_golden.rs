@@ -123,7 +123,6 @@ fn all_five_implementations_agree_on_fig1() {
     }
 }
 
-#[cfg(feature = "parallel")]
 #[test]
 fn parallel_executor_agrees_on_fig1() {
     let l = fig1_l();

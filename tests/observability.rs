@@ -81,37 +81,55 @@ fn disabled_profiler_keeps_all_three_tiers_bitwise_identical() {
 #[test]
 fn parallel_tier_records_per_thread_lanes_and_counters() {
     let a = problem();
-    for threads in [1usize, 2, 4] {
+    // Both leveled tiers run on one executor and must report the same
+    // per-worker telemetry: the column-parallel tier at 1/2/4 threads
+    // and the supernodal (panel) tier at 2/4 threads.
+    for (tier, threads) in [
+        ("factor:parallel", 1usize),
+        ("factor:parallel", 2),
+        ("factor:parallel", 4),
+        ("factor:supernodal", 2),
+        ("factor:supernodal", 4),
+    ] {
         let profiler = Arc::new(Profiler::enabled());
         let plan = profiled_plan(&a, Arc::clone(&profiler));
-        ParallelLuPlan::from_plan(plan, threads).factor(&a).unwrap();
+        if tier == "factor:parallel" {
+            ParallelLuPlan::from_plan(plan, threads).factor(&a).unwrap();
+        } else {
+            SupernodalLuPlan::from_plan(plan, 32, threads)
+                .factor(&a)
+                .unwrap();
+        }
         let snap = profiler.snapshot("par");
         if threads == 1 {
             // One worker compiles to the serial plan — serial span.
             assert_eq!(snap.spans_named("factor:serial").count(), 1);
             continue;
         }
-        assert_eq!(snap.spans_named("factor:parallel").count(), 1);
+        assert_eq!(snap.spans_named(tier).count(), 1);
         // Every worker must report busy/wait counters and have run
         // work spans on its own lane.
         for t in 0..threads {
             assert!(
                 snap.counter(&format!("par.t{t}.busy_ns")).is_some(),
-                "busy counter for worker {t} at {threads} threads"
+                "{tier}: busy counter for worker {t} at {threads} threads"
             );
             assert!(
                 snap.counter(&format!("par.t{t}.wait_ns")).is_some(),
-                "wait counter for worker {t} at {threads} threads"
+                "{tier}: wait counter for worker {t} at {threads} threads"
             );
             assert!(
                 snap.spans_named("work").any(|s| s.lane == t),
-                "work span on lane {t} at {threads} threads"
+                "{tier}: work span on lane {t} at {threads} threads"
             );
         }
         // No counters for workers that don't exist.
         assert!(snap.counter(&format!("par.t{threads}.busy_ns")).is_none());
         let imbalance = snap.gauge("par.imbalance").expect("imbalance gauge");
-        assert!(imbalance >= 1.0, "max/mean busy ratio is at least 1");
+        assert!(
+            imbalance >= 1.0,
+            "{tier}: max/mean busy ratio is at least 1"
+        );
     }
 }
 
